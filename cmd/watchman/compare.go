@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/admission"
@@ -60,47 +61,21 @@ func cmdCompare(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *restart {
-		// The restart experiment replays one fixed policy; reject rather
-		// than silently ignore flags that would not shape it (same
-		// strictness as serve's -tune-window / -snapshot-interval).
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policies", "window", "explain", "whatif", "whatif-sample":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s has no effect with -restart (the experiment always replays lnc-ra)",
-				strings.Join(ignored, ", "))
-		}
-	}
-	if !*whatifOn {
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			if f.Name == "whatif-sample" {
-				ignored = append(ignored, "-"+f.Name+" (needs -whatif)")
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s", strings.Join(ignored, ", "))
-		}
-	} else {
+	policyNames := strings.Split(*policies, ",")
+	if err := checkFlags(fs,
+		generatorRule(*in),
+		flagRule{*restart, []string{"policies", "window", "explain", "whatif", "whatif-sample"},
+			"has no effect with -restart (the experiment always replays lnc-ra)"},
+		flagRule{!*whatifOn, []string{"whatif-sample"}, "(needs -whatif)"},
 		// The ghost matrix carries its own policy grid and event-driven
 		// accounting; the per-policy flags of the plain comparison do not
 		// shape it.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policies", "explain":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("compare: %s has no effect with -whatif (the ghost matrix runs its own policy grid)",
-				strings.Join(ignored, ", "))
-		}
+		flagRule{*whatifOn, []string{"policies", "explain"},
+			"has no effect with -whatif (the ghost matrix runs its own policy grid)"},
+		flagRule{!*whatifOn && !slices.ContainsFunc(policyNames, isAdaptive), []string{"window"},
+			"(needs lnc-ra-adaptive in -policies, or -whatif)"},
+	); err != nil {
+		return err
 	}
 	var tr *trace.Trace
 	var err error
@@ -127,7 +102,7 @@ func cmdCompare(args []string) error {
 	}
 
 	var rows []compareRow
-	for _, name := range strings.Split(*policies, ",") {
+	for _, name := range policyNames {
 		name = strings.TrimSpace(name)
 		if name == "" {
 			continue
@@ -321,6 +296,16 @@ func compareRestart(tr *trace.Trace, capacity int64, k int) error {
 	return nil
 }
 
+// isAdaptive reports whether a -policies entry selects the shadow-tuned
+// admitter, the plain comparison's only consumer of -window.
+func isAdaptive(name string) bool {
+	switch strings.ToLower(strings.TrimSpace(name)) {
+	case "lnc-ra-adaptive", "lncra-adaptive", "adaptive":
+		return true
+	}
+	return false
+}
+
 // compareOne replays the trace under one named policy with a telemetry
 // registry attached for the per-class breakdown. The name
 // "lnc-ra-adaptive" (or "adaptive") selects the shadow-tuned admitter and
@@ -329,51 +314,51 @@ func compareRestart(tr *trace.Trace, capacity int64, k int) error {
 func compareOne(tr *trace.Trace, name string, capacity int64, k, window int, explain bool) (compareRow, error) {
 	reg := telemetry.NewRegistry()
 	// With -explain, a regret tracker rides the same event stream as the
-	// registry; finish stamps its report onto the finished row.
+	// registry.
 	var tracker *flight.RegretTracker
 	var sink core.EventSink
 	if explain {
 		tracker = flight.NewRegretTracker(0)
 		sink = tracker
 	}
-	finish := func(row compareRow) compareRow {
-		if tracker != nil {
-			row.regret = tracker.Top(regretTopK)
-			row.tracked = tracker.Tracked()
-		}
-		return row
-	}
-	switch strings.ToLower(name) {
-	case "lnc-ra-adaptive", "lncra-adaptive", "adaptive":
-		res, _, err := sim.ReplayAdaptive(tr,
-			core.Config{Capacity: capacity, K: k, Sink: core.MultiSink(sink, reg)},
-			admission.Config{Window: window})
+	cfg := core.Config{Capacity: capacity, K: k, Sink: core.MultiSink(sink, reg)}
+	var row compareRow
+	switch lname := strings.ToLower(name); {
+	case isAdaptive(name):
+		res, _, err := sim.ReplayAdaptive(tr, cfg, admission.Config{Window: window})
 		if err != nil {
 			return compareRow{}, err
 		}
-		return finish(compareRow{label: res.Policy, stats: res.Stats, classes: reg.Snapshot().Classes, adaptive: &res}), nil
-	case "lnc-ra-derive", "lncra-derive", "derive":
+		row = compareRow{label: res.Policy, stats: res.Stats, adaptive: &res}
+	case lname == "lnc-ra-derive", lname == "lncra-derive", lname == "derive":
 		if !tr.HasPlans() {
 			return compareRow{}, fmt.Errorf(
 				"policy %s needs plan descriptors, but trace %q carries none: regenerate it with a descriptor-aware workload (e.g. 'watchman trace -benchmark drilldown') or replay a policy without derivation",
 				name, tr.Name)
 		}
-		res, _, _, err := sim.ReplayDerived(tr,
-			core.Config{Capacity: capacity, K: k, Policy: core.LNCRA, Sink: core.MultiSink(sink, reg)},
-			derive.Config{})
+		cfg.Policy = core.LNCRA
+		cfg.Deriver = derive.New(derive.Config{})
+		res, _, err := sim.Replay(tr, cfg)
 		if err != nil {
 			return compareRow{}, err
 		}
-		return finish(compareRow{label: res.Policy + "+derive", stats: res.Stats, classes: reg.Snapshot().Classes}), nil
+		row = compareRow{label: res.Policy + "+derive", stats: res.Stats}
 	default:
 		pk, err := parsePolicy(name)
 		if err != nil {
 			return compareRow{}, err
 		}
-		res, _, err := sim.ReplayWithRegistry(tr, core.Config{Capacity: capacity, K: k, Policy: pk, Sink: sink}, reg)
+		cfg.Policy = pk
+		res, _, err := sim.Replay(tr, cfg)
 		if err != nil {
 			return compareRow{}, err
 		}
-		return finish(compareRow{label: res.Policy, stats: res.Stats, classes: reg.Snapshot().Classes}), nil
+		row = compareRow{label: res.Policy, stats: res.Stats}
 	}
+	row.classes = reg.Snapshot().Classes
+	if tracker != nil {
+		row.regret = tracker.Top(regretTopK)
+		row.tracked = tracker.Tracked()
+	}
+	return row, nil
 }

@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/core"
@@ -75,6 +76,48 @@ commands:
 
 run 'watchman <command> -h' for flags.
 `)
+}
+
+// flagRule is one flag dependency: while off holds, the named flags have
+// no effect, and why completes the error that rejects setting them.
+type flagRule struct {
+	off   bool
+	flags []string
+	why   string
+}
+
+// checkFlags rejects, rather than silently ignores, every explicitly set
+// flag that a rule says has no effect in this configuration. The error
+// names the offending flags of each broken rule in lexical order.
+func checkFlags(fs *flag.FlagSet, rules ...flagRule) error {
+	var set []string
+	fs.Visit(func(f *flag.Flag) { set = append(set, f.Name) })
+	var broken []string
+	for _, r := range rules {
+		if !r.off {
+			continue
+		}
+		var named []string
+		for _, name := range set {
+			if slices.Contains(r.flags, name) {
+				named = append(named, "-"+name)
+			}
+		}
+		if len(named) > 0 {
+			broken = append(broken, strings.Join(named, ", ")+" "+r.why)
+		}
+	}
+	if len(broken) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%s: %s", fs.Name(), strings.Join(broken, "; "))
+}
+
+// generatorRule is the in-process workload flags' dependency on the
+// absence of a trace file (-i).
+func generatorRule(in string) flagRule {
+	return flagRule{in != "", []string{"benchmark", "queries", "seed", "scale"},
+		"(in-process workload flags; -i replays the trace file as is)"}
 }
 
 // generateTrace builds a trace from CLI parameters.
@@ -224,12 +267,13 @@ func cmdRun(args []string) error {
 	queries := fs.Int("queries", 17000, "queries when generating in-process")
 	seed := fs.Int64("seed", 1, "seed when generating in-process")
 	scale := fs.Float64("scale", 0, "database scale when generating in-process")
-	policy := fs.String("policy", "lnc-ra", "cache policy")
-	k := fs.Int("k", 4, "reference-window size K")
 	cachePct := fs.Float64("cache-pct", 1, "cache size as % of database size")
 	cacheBytes := fs.Int64("cache-bytes", 0, "cache size in bytes (overrides -cache-pct)")
-	evictor := fs.String("evictor", "scan", "victim search: scan or heap")
+	cf := addCacheFlags(fs)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkFlags(fs, generatorRule(*in)); err != nil {
 		return err
 	}
 	var tr *trace.Trace
@@ -245,26 +289,15 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	pk, err := parsePolicy(*policy)
-	if err != nil {
-		return err
-	}
-	ek := core.ScanEvictor
-	if *evictor == "heap" {
-		ek = core.HeapEvictor
-	} else if *evictor != "scan" {
-		return fmt.Errorf("run: unknown evictor %q", *evictor)
-	}
 	capacity := *cacheBytes
 	if capacity <= 0 {
 		capacity = sim.CacheBytesForFraction(tr, *cachePct)
 	}
-	res, cache, err := sim.Replay(tr, core.Config{
-		Capacity: capacity,
-		K:        *k,
-		Policy:   pk,
-		Evictor:  ek,
-	})
+	cfg, err := cf.coreConfig(capacity)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	res, cache, err := sim.Replay(tr, cfg)
 	if err != nil {
 		return err
 	}

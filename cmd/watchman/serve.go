@@ -35,51 +35,24 @@ import (
 	"repro/internal/whatif"
 )
 
-// shardedFlags is the flag subset shared by serve and loadgen that shapes
-// the sharded cache.
-type shardedFlags struct {
-	policy         *string
-	shards         *int
-	k              *int
-	evictor        *string
-	buffered       *bool
-	promoteBuffer  *int
-	getsPerPromote *int
+// cacheFlags is the flag subset shared by run, serve and loadgen that
+// shapes one core cache.
+type cacheFlags struct {
+	policy  *string
+	k       *int
+	evictor *string
 }
 
-func addShardedFlags(fs *flag.FlagSet) shardedFlags {
-	return shardedFlags{
-		policy:         fs.String("policy", "lnc-ra", "cache policy"),
-		shards:         fs.Int("shards", 16, "number of cache shards (power of two)"),
-		k:              fs.Int("k", 4, "reference-window size K"),
-		evictor:        fs.String("evictor", "scan", "victim search: scan or heap"),
-		buffered:       fs.Bool("buffered", false, "serve hits from a lock-free index and apply recency/λ bookkeeping asynchronously (see ARCHITECTURE.md for the consistency trade)"),
-		promoteBuffer:  fs.Int("promote-buffer", 0, "buffered mode: per-shard promotion queue depth (0 = default; needs -buffered)"),
-		getsPerPromote: fs.Int("gets-per-promote", 1, "buffered mode: apply bookkeeping for 1 in N hits per entry (1 = every hit; needs -buffered)"),
+func addCacheFlags(fs *flag.FlagSet) cacheFlags {
+	return cacheFlags{
+		policy:  fs.String("policy", "lnc-ra", "cache policy"),
+		k:       fs.Int("k", 4, "reference-window size K"),
+		evictor: fs.String("evictor", "scan", "victim search: scan or heap"),
 	}
-}
-
-// check rejects buffered-mode tuning flags when -buffered is off, rather
-// than silently ignoring them (same strictness as loadgen's -addr).
-func (f shardedFlags) check(fs *flag.FlagSet) error {
-	if *f.buffered {
-		return nil
-	}
-	var ignored []string
-	fs.Visit(func(fl *flag.Flag) {
-		switch fl.Name {
-		case "promote-buffer", "gets-per-promote":
-			ignored = append(ignored, "-"+fl.Name+" (needs -buffered)")
-		}
-	})
-	if len(ignored) > 0 {
-		return fmt.Errorf("%s", strings.Join(ignored, ", "))
-	}
-	return nil
 }
 
 // coreConfig resolves the flags into a per-cache configuration.
-func (f shardedFlags) coreConfig(capacity int64) (core.Config, error) {
+func (f cacheFlags) coreConfig(capacity int64) (core.Config, error) {
 	pk, err := parsePolicy(*f.policy)
 	if err != nil {
 		return core.Config{}, err
@@ -96,6 +69,31 @@ func (f shardedFlags) coreConfig(capacity int64) (core.Config, error) {
 		Policy:   pk,
 		Evictor:  ek,
 	}, nil
+}
+
+// shardedFlags is the flag subset shared by serve and loadgen that shapes
+// the sharded cache.
+type shardedFlags struct {
+	cacheFlags
+	shards         *int
+	buffered       *bool
+	promoteBuffer  *int
+	getsPerPromote *int
+}
+
+func addShardedFlags(fs *flag.FlagSet) shardedFlags {
+	return shardedFlags{
+		cacheFlags:     addCacheFlags(fs),
+		shards:         fs.Int("shards", 16, "number of cache shards (power of two)"),
+		buffered:       fs.Bool("buffered", false, "serve hits from a lock-free index and apply recency/λ bookkeeping asynchronously (see ARCHITECTURE.md for the consistency trade)"),
+		promoteBuffer:  fs.Int("promote-buffer", 0, "buffered mode: per-shard promotion queue depth (0 = default; needs -buffered)"),
+		getsPerPromote: fs.Int("gets-per-promote", 1, "buffered mode: apply bookkeeping for 1 in N hits per entry (1 = every hit; needs -buffered)"),
+	}
+}
+
+// bufferedRule is the buffered-mode tuning flags' dependency on -buffered.
+func (f shardedFlags) bufferedRule() flagRule {
+	return flagRule{!*f.buffered, []string{"promote-buffer", "gets-per-promote"}, "(needs -buffered)"}
 }
 
 // build constructs the sharded cache from the parsed flags. rec may be
@@ -134,28 +132,14 @@ func cmdServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*adaptive || *snapshotPath == "" || !*debugOn || !*whatifOn {
-		// Reject rather than silently ignore flags that have no effect in
-		// this configuration (same strictness as loadgen's -addr).
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch {
-			case f.Name == "tune-window" && !*adaptive:
-				ignored = append(ignored, "-"+f.Name+" (needs -adaptive)")
-			case f.Name == "snapshot-interval" && *snapshotPath == "":
-				ignored = append(ignored, "-"+f.Name+" (needs -snapshot-path)")
-			case (f.Name == "flight-sample" || f.Name == "flight-slow") && !*debugOn:
-				ignored = append(ignored, "-"+f.Name+" (needs -debug)")
-			case f.Name == "whatif-sample" && !*whatifOn:
-				ignored = append(ignored, "-"+f.Name+" (needs -whatif)")
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("serve: %s", strings.Join(ignored, ", "))
-		}
-	}
-	if err := sf.check(fs); err != nil {
-		return fmt.Errorf("serve: %w", err)
+	if err := checkFlags(fs,
+		flagRule{!*adaptive, []string{"tune-window"}, "(needs -adaptive)"},
+		flagRule{*snapshotPath == "", []string{"snapshot-interval"}, "(needs -snapshot-path)"},
+		flagRule{!*debugOn, []string{"flight-sample", "flight-slow"}, "(needs -debug)"},
+		flagRule{!*whatifOn, []string{"whatif-sample"}, "(needs -whatif)"},
+		sf.bufferedRule(),
+	); err != nil {
+		return err
 	}
 	if *flightSample < 1 {
 		return fmt.Errorf("serve: -flight-sample must be at least 1, got %d", *flightSample)
@@ -353,28 +337,19 @@ func cmdLoadgen(args []string) error {
 	if *jsonOut && *slowlog > 0 {
 		return fmt.Errorf("loadgen: -slowlog prints a table and would corrupt the -json line; drop one")
 	}
-	if err := sf.check(fs); err != nil {
-		return fmt.Errorf("loadgen: %w", err)
+	if *addr != "" && *compareSerial {
+		return fmt.Errorf("loadgen: -compare-serial needs the in-process cache; drop -addr")
 	}
-	if *addr != "" {
-		if *compareSerial {
-			return fmt.Errorf("loadgen: -compare-serial needs the in-process cache; drop -addr")
-		}
-		// The cache-shaping flags configure the in-process cache only; a
-		// live server was shaped at its own startup. Reject rather than
-		// silently attribute the results to a configuration never in use.
-		var ignored []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "policy", "shards", "k", "evictor", "cache-pct", "cache-bytes",
-				"buffered", "promote-buffer", "gets-per-promote":
-				ignored = append(ignored, "-"+f.Name)
-			}
-		})
-		if len(ignored) > 0 {
-			return fmt.Errorf("loadgen: %s configure the in-process cache and have no effect with -addr (the server was configured at startup)",
-				strings.Join(ignored, ", "))
-		}
+	// The cache-shaping flags configure the in-process cache only; a live
+	// server was shaped at its own startup. Reject rather than silently
+	// attribute the results to a configuration never in use.
+	if err := checkFlags(fs,
+		sf.bufferedRule(),
+		flagRule{*addr != "", []string{"policy", "shards", "k", "evictor", "cache-pct", "cache-bytes",
+			"buffered", "promote-buffer", "gets-per-promote"},
+			"configure the in-process cache and have no effect with -addr (the server was configured at startup)"},
+	); err != nil {
+		return err
 	}
 	tr, err := loadTrace(*in)
 	if err != nil {

@@ -377,9 +377,18 @@ func TestCallbacks(t *testing.T) {
 	c := newCache(t, Config{
 		Capacity: 250,
 		Policy:   LNCRA,
-		OnAdmit:  func(*Entry) { admits++ },
-		OnEvict:  func(*Entry) { evicts++ },
-		OnReject: func(*Entry, []*Entry, float64, float64) { rejects++ },
+		Sink: EventSinkFunc(func(ev Event) {
+			switch ev.Kind {
+			case EventMissAdmitted:
+				admits++
+			case EventEvict:
+				evicts++
+			case EventMissRejected:
+				if ev.Victims != nil { // denied by the admission test
+					rejects++
+				}
+			}
+		}),
 	})
 	c.Reference(req("a", 1, 100, 100))
 	c.Reference(req("b", 2, 100, 100))

@@ -53,9 +53,8 @@ type Config struct {
 	Shards int
 	// Cache configures every shard's core.Cache. Capacity is the TOTAL
 	// across all shards and is split evenly; the remainder bytes go to the
-	// low-numbered shards. The per-shard callbacks (OnAdmit, OnEvict,
-	// OnReject) are invoked with the owning shard's mutex held and must
-	// not call back into the Sharded cache.
+	// low-numbered shards. Its event Sink is invoked with the owning
+	// shard's mutex held and must not call back into the Sharded cache.
 	Cache core.Config
 	// Loader, if non-nil, enables the Load path with singleflight miss
 	// coalescing.

@@ -46,30 +46,20 @@ func ReplayAdaptive(tr *trace.Trace, cfg core.Config, tcfg admission.Config) (Ad
 	}
 	profile := tuner.NewProfile()
 	rounds, switches := 0, 0
-	for i := range tr.Records {
-		rec := &tr.Records[i]
-		id := core.CompressID(rec.QueryID)
-		sig := core.Signature(id)
-		c.ReferenceCanonical(core.Request{
-			QueryID:   id,
-			Time:      rec.Time,
-			Class:     rec.Class,
-			Size:      rec.Size,
-			Cost:      rec.Cost,
-			Relations: rec.Relations,
-		}, sig)
-		if profile.Record(admission.Sample{
+	replay(c, tr.Records, func(rec *trace.Record, id string, sig uint64) {
+		if !profile.Record(admission.Sample{
 			ID: id, Sig: sig, Size: rec.Size, Cost: rec.Cost, Time: rec.Time,
 			Relations: rec.Relations,
 		}) {
-			if round, ok := tuner.TuneOnce(); ok {
-				rounds++
-				if round.Switched {
-					switches++
-				}
+			return
+		}
+		if round, ok := tuner.TuneOnce(); ok {
+			rounds++
+			if round.Switched {
+				switches++
 			}
 		}
-	}
+	})
 	return AdaptiveResult{
 		Result: Result{
 			Policy:     "LNC-RA adaptive",

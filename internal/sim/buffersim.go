@@ -119,61 +119,71 @@ func RunBufferSim(db *relation.Database, templates []*workload.Template, cfg Buf
 	// The reference-set counters only track queries that have executed at
 	// least once (only those contributed page references). A query admitted
 	// on its very first miss is accounted for right after its execution
-	// below, so OnAdmit/OnEvict only adjust counts for already-executed
-	// queries.
+	// below, so residency changes only adjust counts for already-executed
+	// queries. delta is +1 when the query's set is cached, -1 when it
+	// leaves the cache.
 	var hintErr error
+	moved := func(e *core.Entry, delta int32) {
+		if hintErr != nil {
+			return
+		}
+		qi := queries[e.ID]
+		if qi == nil || !qi.executed {
+			return
+		}
+		pages, err := pagesOf(qi)
+		if err != nil {
+			hintErr = err
+			return
+		}
+		for _, pid := range pages {
+			if di := denseIndex[pid]; cachedCount[di]+delta >= 0 {
+				cachedCount[di] += delta
+			}
+		}
+		if delta < 0 {
+			return
+		}
+		// The paper's hint moves *all* p₀-redundant pages to the LRU
+		// end, not only the pages of the newly cached set. At p₀ = 0
+		// every referenced page trivially qualifies — the "modified LRU
+		// degenerates to MRU" case of Figure 7.
+		result.HintsSent++
+		for _, pid := range pool.LRUOrder() {
+			di := denseIndex[pid]
+			if refCount[di] > 0 && float64(cachedCount[di]) >= cfg.P0*float64(refCount[di]) {
+				pool.Demote(pid)
+				result.PagesDemoted++
+			}
+		}
+	}
+	// The cooperation needs only "a set was cached" and "a set left the
+	// cache"; a negative P0 (the baseline) observes neither.
+	var hints core.EventSink
+	if cfg.P0 >= 0 {
+		hints = core.EventSinkFunc(func(ev core.Event) {
+			switch ev.Kind {
+			case core.EventMissAdmitted:
+				moved(ev.Entry, +1)
+			case core.EventEvict:
+				moved(ev.Entry, -1)
+			case core.EventInvalidate:
+				// A drop of retained reference information alone leaves
+				// the cached content unchanged.
+				if ev.Resident {
+					moved(ev.Entry, -1)
+				}
+			case core.EventHit, core.EventMissRejected, core.EventExternalMiss,
+				core.EventHitDerived, core.EventRestore:
+				// Not a residency change.
+			}
+		})
+	}
 	wm, err := core.New(core.Config{
 		Capacity: cfg.CacheBytes,
 		K:        4,
 		Policy:   core.LNCRA,
-		OnAdmit: func(e *core.Entry) {
-			if cfg.P0 < 0 || hintErr != nil {
-				return
-			}
-			qi := queries[e.ID]
-			if qi == nil || !qi.executed {
-				return
-			}
-			pages, err := pagesOf(qi)
-			if err != nil {
-				hintErr = err
-				return
-			}
-			for _, pid := range pages {
-				cachedCount[denseIndex[pid]]++
-			}
-			// The paper's hint moves *all* p₀-redundant pages to the LRU
-			// end, not only the pages of the newly cached set. At p₀ = 0
-			// every referenced page trivially qualifies — the "modified LRU
-			// degenerates to MRU" case of Figure 7.
-			result.HintsSent++
-			for _, pid := range pool.LRUOrder() {
-				di := denseIndex[pid]
-				if refCount[di] > 0 && float64(cachedCount[di]) >= cfg.P0*float64(refCount[di]) {
-					pool.Demote(pid)
-					result.PagesDemoted++
-				}
-			}
-		},
-		OnEvict: func(e *core.Entry) {
-			if cfg.P0 < 0 || hintErr != nil {
-				return
-			}
-			qi := queries[e.ID]
-			if qi == nil || !qi.executed {
-				return
-			}
-			pages, err := pagesOf(qi)
-			if err != nil {
-				hintErr = err
-				return
-			}
-			for _, pid := range pages {
-				if di := denseIndex[pid]; cachedCount[di] > 0 {
-					cachedCount[di]--
-				}
-			}
-		},
+		Sink:     hints,
 	})
 	if err != nil {
 		return result, err

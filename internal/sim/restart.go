@@ -50,25 +50,6 @@ func secondHalf(end, checkpoint core.Stats) core.Stats {
 	return end
 }
 
-// replaySegment feeds records[from:to) through the cache.
-func replaySegment(c *core.Cache, tr *trace.Trace, from, to int) {
-	for i := from; i < to; i++ {
-		rec := &tr.Records[i]
-		req := core.Request{
-			QueryID:   rec.QueryID,
-			Time:      rec.Time,
-			Class:     rec.Class,
-			Size:      rec.Size,
-			Cost:      rec.Cost,
-			Relations: rec.Relations,
-		}
-		if rec.Plan != nil {
-			req.Plan = rec.Plan
-		}
-		c.Reference(req)
-	}
-}
-
 // ReplayRestart runs the restart experiment on the trace with the given
 // cache configuration: replay the first half, snapshot through the real
 // persist codec, restore into a fresh cache, replay the rest, and compare
@@ -87,9 +68,9 @@ func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	if err != nil {
 		return res, err
 	}
-	replaySegment(full, tr, 0, split)
+	replay(full, tr.Records[:split], nil)
 	checkpoint := full.Stats()
-	replaySegment(full, tr, split, n)
+	replay(full, tr.Records[split:], nil)
 	res.Uninterrupted = secondHalf(full.Stats(), checkpoint)
 
 	// Warm restart: first half, snapshot round trip, second half.
@@ -97,7 +78,7 @@ func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	if err != nil {
 		return res, err
 	}
-	replaySegment(warmSrc, tr, 0, split)
+	replay(warmSrc, tr.Records[:split], nil)
 	var buf bytes.Buffer
 	snap := persist.SnapshotCache(warmSrc, nil)
 	if err := persist.Write(&buf, snap); err != nil {
@@ -118,7 +99,7 @@ func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	}
 	res.RestoredResident = warm.Resident()
 	restoredAt := warm.Stats()
-	replaySegment(warm, tr, split, n)
+	replay(warm, tr.Records[split:], nil)
 	res.Warm = secondHalf(warm.Stats(), restoredAt)
 
 	// Cold restart: the second half against a fresh cache.
@@ -126,7 +107,7 @@ func ReplayRestart(tr *trace.Trace, cfg core.Config) (RestartResult, error) {
 	if err != nil {
 		return res, err
 	}
-	replaySegment(cold, tr, split, n)
+	replay(cold, tr.Records[split:], nil)
 	res.Cold = cold.Stats()
 
 	return res, nil

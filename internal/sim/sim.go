@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -34,15 +33,34 @@ func (r Result) Fragmentation() float64 { return r.Stats.AvgFragmentation() }
 
 // Replay feeds every record of the trace through a cache built from cfg and
 // returns the result. The returned cache allows further inspection.
+// Observers such as a telemetry registry ride cfg.Sink. With cfg.Deriver
+// set, derivations are bookkeeping-only — replays carry no materialized
+// payloads, so the cost accounting is exact while the row rewrite itself
+// is exercised by the equivalence tests.
 func Replay(tr *trace.Trace, cfg core.Config) (Result, *core.Cache, error) {
 	c, err := core.New(cfg)
 	if err != nil {
 		return Result{}, nil, err
 	}
-	for i := range tr.Records {
-		rec := &tr.Records[i]
+	replay(c, tr.Records, nil)
+	return Result{
+		Policy:     cfg.Policy.String(),
+		K:          cfg.K,
+		CacheBytes: cfg.Capacity,
+		Stats:      c.Stats(),
+	}, c, nil
+}
+
+// replay is the one loop that turns trace records into cache references.
+// after, when non-nil, runs once the cache has seen each record, with the
+// record's canonical (compressed) ID and its signature.
+func replay(c *core.Cache, recs []trace.Record, after func(rec *trace.Record, id string, sig uint64)) {
+	for i := range recs {
+		rec := &recs[i]
+		id := core.CompressID(rec.QueryID)
+		sig := core.Signature(id)
 		req := core.Request{
-			QueryID:   rec.QueryID,
+			QueryID:   id,
 			Time:      rec.Time,
 			Class:     rec.Class,
 			Size:      rec.Size,
@@ -54,24 +72,11 @@ func Replay(tr *trace.Trace, cfg core.Config) (Result, *core.Cache, error) {
 			// "plan present" downstream.
 			req.Plan = rec.Plan
 		}
-		c.Reference(req)
+		c.ReferenceCanonical(req, sig)
+		if after != nil {
+			after(rec, id, sig)
+		}
 	}
-	return Result{
-		Policy:     cfg.Policy.String(),
-		K:          cfg.K,
-		CacheBytes: cfg.Capacity,
-		Stats:      c.Stats(),
-	}, c, nil
-}
-
-// ReplayWithRegistry replays the trace with a telemetry registry attached
-// as the cache's event sink (composed with any sink already configured),
-// so the caller can read per-class and per-relation cost-savings
-// breakdowns off the registry afterwards. `watchman compare` uses it to
-// print per-class CSR columns for multiclass traces.
-func ReplayWithRegistry(tr *trace.Trace, cfg core.Config, reg *telemetry.Registry) (Result, *core.Cache, error) {
-	cfg.Sink = core.MultiSink(cfg.Sink, reg)
-	return Replay(tr, cfg)
 }
 
 // Setup is a shorthand for the cache configurations the experiments sweep.

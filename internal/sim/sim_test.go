@@ -185,6 +185,43 @@ func TestBufferSimDeterminism(t *testing.T) {
 	}
 }
 
+// TestBufferSimGolden pins the Figure 7 hint pipeline to exact numbers:
+// the hints sent, pages demoted and buffer hit ratio (as float bits) of a
+// small fixed run at each p0 regime — disabled, degenerate, selective and
+// strict. The cache is small enough that admissions evict, so both the
+// admit and the evict sides of the reference-set counters are exercised.
+func TestBufferSimGolden(t *testing.T) {
+	golden := []struct {
+		p0      float64
+		hints   int64
+		demoted int64
+		hrBits  uint64
+	}{
+		{p0: -1, hints: 0, demoted: 0, hrBits: 0x3fd0eb3f5a1fc362},
+		{p0: 0, hints: 843, demoted: 426960, hrBits: 0x3fd0eb3f5a1fc362},
+		{p0: 0.8, hints: 843, demoted: 355381, hrBits: 0x3fd08e1c52d15451},
+		{p0: 1, hints: 843, demoted: 321397, hrBits: 0x3fd0d3c5551bdc48},
+	}
+	db := relation.Warehouse(0.1, 0)
+	templates := workload.WarehouseTemplates(db)
+	for _, g := range golden {
+		res, err := RunBufferSim(db, templates, BufferSimConfig{
+			Queries: 1500, Seed: 12, PoolBytes: 2 << 20, CacheBytes: 1 << 20, P0: g.p0,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.CacheStats.Evictions == 0 {
+			t.Fatalf("p0=%v: no cache evictions; the evict side of the hint pipeline went unexercised", g.p0)
+		}
+		hr := res.BufferHitRatio()
+		if res.HintsSent != g.hints || res.PagesDemoted != g.demoted || math.Float64bits(hr) != g.hrBits {
+			t.Errorf("p0=%v: hints=%d demoted=%d HR=%v (%#x), want hints=%d demoted=%d HR bits %#x",
+				g.p0, res.HintsSent, res.PagesDemoted, hr, math.Float64bits(hr), g.hints, g.demoted, g.hrBits)
+		}
+	}
+}
+
 func TestBufferSimHintThresholds(t *testing.T) {
 	// Selective hints must beat the no-hints baseline, and the degenerate
 	// p0 = 0 sweep (every referenced page demoted — the paper's "modified

@@ -135,7 +135,9 @@ type Config struct {
 	// DefaultBuffer.
 	Buffer int
 	// Blocking makes Emit apply backpressure instead of shedding when the
-	// FIFO is full. Only for offline replays (sim.ReplayWhatIf); a
+	// FIFO is full, so the report covers every sampled reference. Only
+	// for offline replays: sim.ReplayWhatIf sets it and owns the blocking
+	// matrix's lifecycle (attach to the replay's sink, report, Close). A
 	// serving cache must never block its shard mutex on the ghosts.
 	Blocking bool
 	// TuneWindow is the tuning-round window of adaptive ghosts, counted

@@ -3,7 +3,9 @@ package admission
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 )
@@ -210,8 +212,9 @@ func TestTunerConvergesOnBimodalWorkload(t *testing.T) {
 	}
 }
 
-// TestProfileRingOverflow checks that a profile holds at most one window
-// of samples and drains the newest ones in order when tuning falls behind.
+// TestProfileRingOverflow checks that a profile grows with what it holds,
+// holds at most one window of samples, and peeks and drains the newest
+// ones in order when tuning falls behind.
 func TestProfileRingOverflow(t *testing.T) {
 	tu, err := New(Config{Capacity: 1 << 20, Window: 16})
 	if err != nil {
@@ -219,9 +222,18 @@ func TestProfileRingOverflow(t *testing.T) {
 	}
 	p := tu.NewProfile()
 	for i := 0; i < 40; i++ {
+		if i == 3 && cap(p.samples) >= 16 {
+			// The producers of one tuner share a single window, so a
+			// profile must not reserve a whole one up front.
+			t.Errorf("profile holding 3 samples reserved %d", cap(p.samples))
+		}
 		p.Record(sampleFor(fmt.Sprintf("q%d", i), 100, 10, float64(i)))
 	}
+	peeked := p.peek()
 	got := p.drain()
+	if !reflect.DeepEqual(peeked, got) {
+		t.Errorf("peek and drain disagree on the wrapped ring's order")
+	}
 	if len(got) != 16 {
 		t.Fatalf("drained %d samples, want the window size 16", len(got))
 	}
@@ -358,5 +370,44 @@ func TestArmScores(t *testing.T) {
 		if !a.Seeded || a.References != 16 {
 			t.Errorf("arm θ=%g after one round: %+v, want seeded with 16 references", a.Theta, a)
 		}
+	}
+}
+
+// TestReadersDoNotWaitForRound holds the tuner mutex, as a round does
+// for its whole shadow replay, and checks that the diagnostics readers
+// behind GET /v1/admission still return — with the last round's state.
+func TestReadersDoNotWaitForRound(t *testing.T) {
+	tu, err := New(Config{Capacity: 8192, K: 2, Window: 16, Grid: []float64{0.5, 1, 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tu.NewProfile()
+	for i := 0; i < 16; i++ {
+		p.Record(sampleFor(fmt.Sprintf("q%d", i%5), 500, 250, float64(i+1)))
+	}
+	if _, ok := tu.TuneOnce(); !ok {
+		t.Fatal("full window must score")
+	}
+
+	tu.mu.Lock()
+	defer tu.mu.Unlock()
+	type result struct {
+		arms   []ArmScore
+		rounds []Round
+	}
+	done := make(chan result, 1)
+	go func() { done <- result{tu.ArmScores(), tu.Rounds()} }()
+	select {
+	case r := <-done:
+		if len(r.rounds) != 1 || r.rounds[0].Seq != 1 {
+			t.Fatalf("rounds = %+v, want the one completed round", r.rounds)
+		}
+		for _, a := range r.arms {
+			if !a.Seeded || a.References != 16 {
+				t.Errorf("arm θ=%g: %+v, want the completed round's standing", a.Theta, a)
+			}
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("ArmScores/Rounds blocked on the tuner mutex")
 	}
 }

@@ -25,7 +25,10 @@ type Sample struct {
 // owns a Profile and records every reference it serves into it; the Tuner
 // drains all profiles when a tuning round fires. A Profile holds at most
 // one window's worth of samples — if tuning falls behind, the oldest
-// samples are overwritten, keeping memory bounded.
+// samples are overwritten, keeping memory bounded. The buffer grows with
+// what it holds rather than starting at a full window: the producers of
+// one tuner share a single window between them, so a sharded cache's
+// profiles would otherwise each reserve a window they never fill.
 //
 // Record takes the profile's own mutex, never the tuner's, so producers
 // only ever contend with the (rare) tuning-round drain, not with each
@@ -34,7 +37,8 @@ type Profile struct {
 	t *Tuner
 
 	mu      sync.Mutex
-	samples []Sample // ring buffer once len == cap
+	samples []Sample // ring buffer once len == limit
+	limit   int      // ring size: the tuner's window
 	next    int      // ring write position
 	wrapped bool     // true once the ring has overwritten old samples
 }
@@ -44,30 +48,35 @@ type Profile struct {
 // round via TuneOnce or TriggerAsync.
 func (p *Profile) Record(s Sample) (windowFull bool) {
 	p.mu.Lock()
-	if len(p.samples) < cap(p.samples) {
+	if len(p.samples) < p.limit {
 		p.samples = append(p.samples, s)
 	} else {
 		p.samples[p.next] = s
 		p.wrapped = true
 	}
-	p.next = (p.next + 1) % cap(p.samples)
+	p.next = (p.next + 1) % p.limit
 	p.mu.Unlock()
 	return p.t.noteRecorded()
+}
+
+// ordered returns a copy of the buffered samples in arrival order. The
+// caller holds p.mu.
+func (p *Profile) ordered() []Sample {
+	if !p.wrapped {
+		return append([]Sample(nil), p.samples...)
+	}
+	// Ring wrapped: oldest sample sits at the write position.
+	out := make([]Sample, 0, len(p.samples))
+	out = append(out, p.samples[p.next:]...)
+	return append(out, p.samples[:p.next]...)
 }
 
 // drain removes and returns all buffered samples in arrival order.
 func (p *Profile) drain() []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []Sample
-	if p.wrapped {
-		// Ring wrapped: oldest sample sits at the write position.
-		out = make([]Sample, 0, cap(p.samples))
-		out = append(out, p.samples[p.next:]...)
-		out = append(out, p.samples[:p.next]...)
-	} else {
-		out = append(out, p.samples...)
-	}
+	out := p.ordered()
+	clear(p.samples) // drop the drained samples' strings
 	p.samples = p.samples[:0]
 	p.next = 0
 	p.wrapped = false

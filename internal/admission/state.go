@@ -50,15 +50,7 @@ type TunerState struct {
 func (p *Profile) peek() []Sample {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	var out []Sample
-	if p.wrapped {
-		out = make([]Sample, 0, cap(p.samples))
-		out = append(out, p.samples[p.next:]...)
-		out = append(out, p.samples[:p.next]...)
-	} else {
-		out = append(out, p.samples...)
-	}
-	return out
+	return p.ordered()
 }
 
 // ExportState captures the tuner's published θ, candidate scores and
@@ -125,6 +117,7 @@ func (t *Tuner) RestoreState(st *TunerState) error {
 		}
 	}
 	t.th.Store(st.Theta)
+	t.publishView(nil) // no rounds yet: seq is 0
 	t.mu.Unlock()
 	if len(st.Samples) > 0 {
 		p := t.NewProfile()

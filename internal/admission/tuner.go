@@ -123,17 +123,28 @@ type Tuner struct {
 	recorded atomic.Int64 // references recorded since the last drain
 	tuning   atomic.Bool  // gate: at most one async round in flight
 
-	mu       sync.Mutex // guards profiles, arms, rounds, seq
+	mu       sync.Mutex // guards profiles, arms, seq
 	profiles []*Profile
 	arms     []*shadowArm // one per grid candidate, same order
-	rounds   []Round      // most recent first
 	seq      int64
+
+	// view is what the diagnostics readers (ArmScores, Rounds) see. It is
+	// replaced whole, under mu, at construction, at the end of every round
+	// and on restore, and read without mu, so a scrape never waits behind
+	// a round's shadow replays yet always sees one round's state.
+	view atomic.Pointer[tunerView]
 
 	// pendMu guards pendingInval. Invalidate takes only this small lock
 	// (never mu), so a coherence event arriving mid-round is queued in
 	// O(1) instead of blocking behind the shadow replays.
 	pendMu       sync.Mutex
 	pendingInval []string
+}
+
+// tunerView is an immutable snapshot of the tuner's diagnostics.
+type tunerView struct {
+	arms   []ArmScore // grid order
+	rounds []Round    // most recent first, at most Config.History
 }
 
 // shadowArm is one candidate threshold's persistent shadow cache plus its
@@ -206,6 +217,7 @@ func New(cfg Config) (*Tuner, error) {
 		}
 		t.arms = append(t.arms, &shadowArm{theta: theta, cache: shadow})
 	}
+	t.publishView(nil)
 	return t, nil
 }
 
@@ -245,16 +257,21 @@ type ArmScore struct {
 	References int64 `json:"references"`
 }
 
-// ArmScores snapshots every candidate threshold's shadow standing, in
-// grid order. It takes the tuner mutex and so excludes a concurrent
-// round; the snapshot is round-consistent.
+// ArmScores returns every candidate threshold's shadow standing, in grid
+// order, as of the last completed round (or restore). It never waits for
+// a round in progress; the result is round-consistent.
 func (t *Tuner) ArmScores() []ArmScore {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]ArmScore, len(t.arms))
+	return append([]ArmScore(nil), t.view.Load().arms...)
+}
+
+// publishView replaces the diagnostics view with the arms' current
+// standing and the given round history. The caller holds t.mu (or owns
+// the tuner exclusively, as New does).
+func (t *Tuner) publishView(rounds []Round) {
+	arms := make([]ArmScore, len(t.arms))
 	for i, a := range t.arms {
 		st := a.cache.Stats()
-		out[i] = ArmScore{
+		arms[i] = ArmScore{
 			Theta:      a.theta,
 			Smoothed:   a.score,
 			Seeded:     a.seeded,
@@ -262,14 +279,14 @@ func (t *Tuner) ArmScores() []ArmScore {
 			References: st.References,
 		}
 	}
-	return out
+	t.view.Store(&tunerView{arms: arms, rounds: rounds})
 }
 
 // NewProfile registers and returns a new reference profile. Each producer
 // (shard, or the simulator's single replay loop) owns one profile and
 // records every reference it serves into it.
 func (t *Tuner) NewProfile() *Profile {
-	p := &Profile{t: t, samples: make([]Sample, 0, t.cfg.Window)}
+	p := &Profile{t: t, limit: t.cfg.Window}
 	t.mu.Lock()
 	t.profiles = append(t.profiles, p)
 	t.mu.Unlock()
@@ -396,10 +413,11 @@ func (t *Tuner) TuneOnce() (round Round, ok bool) {
 			TotalCSR: a.cache.Stats().CostSavingsRatio(),
 		}
 	}
-	t.rounds = append([]Round{round}, t.rounds...)
-	if len(t.rounds) > t.cfg.History {
-		t.rounds = t.rounds[:t.cfg.History]
+	rounds := append([]Round{round}, t.view.Load().rounds...)
+	if len(rounds) > t.cfg.History {
+		rounds = rounds[:t.cfg.History]
 	}
+	t.publishView(rounds)
 	return round, true
 }
 
@@ -451,11 +469,8 @@ func (t *Tuner) applyPendingInvalidations() {
 	}
 }
 
-// Rounds returns the retained tuning history, most recent first.
+// Rounds returns the retained tuning history, most recent first. Like
+// ArmScores it reads the published view and never waits for a round.
 func (t *Tuner) Rounds() []Round {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]Round, len(t.rounds))
-	copy(out, t.rounds)
-	return out
+	return append([]Round{}, t.view.Load().rounds...)
 }

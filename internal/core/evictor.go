@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"sort"
-)
+import "container/heap"
 
 // EvictorKind selects the victim-search data structure. Both produce
 // candidates in the policy's (tier, key) order; they trade exactness for
@@ -12,7 +9,8 @@ type EvictorKind int
 
 const (
 	// ScanEvictor recomputes every entry's rank at selection time and
-	// sorts. Exact, O(n log n) per eviction.
+	// heap-selects the victims. Exact, O(n + k log n) per eviction for k
+	// victims among n resident entries.
 	ScanEvictor EvictorKind = iota
 	// HeapEvictor keeps per-policy heaps with lazily refreshed keys.
 	// Near-exact for time-decaying keys (LNC profits), exact for static
@@ -46,57 +44,121 @@ func newEvictor(kind EvictorKind, r ranker) evictor {
 	if kind == HeapEvictor {
 		return &heapEvictor{r: r, items: make(map[*Entry]*heapItem)}
 	}
-	return &scanEvictor{r: r, entries: make(map[*Entry]struct{})}
+	return &scanEvictor{r: r, pos: make(map[*Entry]int)}
 }
 
-// scanEvictor: exact selection by full sort.
+// scanEvictor: exact selection by heap-select. Every call ranks every
+// resident entry at the current time (LNC profits decay, so no rank
+// survives between calls), heapifies the ranks in O(n) and pops only the
+// k victims that cover need: O(n + k log n), against O(n log n) for a
+// full sort that produces the same prefix. Resident entries live in a
+// dense slice (a map indexes it for O(1) removal) because ranking walks
+// every one of them on every call.
 type scanEvictor struct {
-	r       ranker
-	entries map[*Entry]struct{}
+	r    ranker
+	list []*Entry
+	pos  map[*Entry]int // index of each entry in list
+	// scratch is the rank heap, reused across calls and cleared after
+	// each so it pins no evicted entry.
+	scratch []rankedEntry
 }
 
-func (s *scanEvictor) add(e *Entry, _ float64) { s.entries[e] = struct{}{} }
-func (s *scanEvictor) remove(e *Entry)         { delete(s.entries, e) }
-func (s *scanEvictor) touch(*Entry, float64)   {}
-func (s *scanEvictor) count() int              { return len(s.entries) }
+// rankedEntry is one entry's eviction rank captured at selection time.
+type rankedEntry struct {
+	e    *Entry
+	tier int
+	key  float64
+}
+
+// before is the eviction order: tier, then key, then ID. IDs are unique
+// within a cache and keys are never NaN, so the order is total and the
+// victim sequence does not depend on the order of the resident list.
+func (a *rankedEntry) before(b *rankedEntry) bool {
+	if a.tier != b.tier {
+		return a.tier < b.tier
+	}
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	return a.e.ID < b.e.ID
+}
+
+// add registers a newly resident entry. The cache adds an entry only on
+// its transition to resident, so it is never already present.
+func (s *scanEvictor) add(e *Entry, _ float64) {
+	s.pos[e] = len(s.list)
+	s.list = append(s.list, e)
+}
+
+func (s *scanEvictor) remove(e *Entry) {
+	i, ok := s.pos[e]
+	if !ok {
+		return
+	}
+	last := len(s.list) - 1
+	s.list[i] = s.list[last]
+	s.pos[s.list[i]] = i
+	s.list[last] = nil
+	s.list = s.list[:last]
+	delete(s.pos, e)
+}
+
+func (s *scanEvictor) touch(*Entry, float64) {}
+func (s *scanEvictor) count() int            { return len(s.list) }
 
 func (s *scanEvictor) candidates(need int64, now float64) []*Entry {
-	all := make([]*Entry, 0, len(s.entries))
-	for e := range s.entries {
-		all = append(all, e)
+	if need <= 0 {
+		return nil
 	}
-	type ranked struct {
-		e    *Entry
-		tier int
-		key  float64
-	}
-	rs := make([]ranked, len(all))
-	for i, e := range all {
+	rs := s.scratch[:0]
+	var total int64
+	for _, e := range s.list {
 		t, k := s.r.rank(e, now)
-		rs[i] = ranked{e, t, k}
+		rs = append(rs, rankedEntry{e, t, k})
+		total += e.Size
 	}
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].tier != rs[j].tier {
-			return rs[i].tier < rs[j].tier
-		}
-		if rs[i].key != rs[j].key {
-			return rs[i].key < rs[j].key
-		}
-		return rs[i].e.ID < rs[j].e.ID // deterministic tie-break
-	})
-	var out []*Entry
+	s.scratch = rs
+	defer clear(rs)
+	if total < need {
+		return nil
+	}
+	for i := len(rs)/2 - 1; i >= 0; i-- {
+		siftDown(rs, i)
+	}
+	// Pop victims in order; each pop parks the minimum at the end of the
+	// shrinking heap, so rs[n-1], rs[n-2], ... is the eviction order.
+	n := len(rs)
 	var freed int64
-	for _, r := range rs {
-		if freed >= need {
-			return out
+	for freed < need {
+		n--
+		rs[0], rs[n] = rs[n], rs[0]
+		siftDown(rs[:n], 0)
+		freed += rs[n].e.Size
+	}
+	out := make([]*Entry, len(rs)-n)
+	for i := range out {
+		out[i] = rs[len(rs)-1-i].e
+	}
+	return out
+}
+
+// siftDown restores the min-heap property below index i.
+func siftDown(h []rankedEntry, i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(h) {
+			return
 		}
-		out = append(out, r.e)
-		freed += r.e.Size
+		m := l
+		if r := l + 1; r < len(h) && h[r].before(&h[l]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
 	}
-	if freed >= need {
-		return out
-	}
-	return nil
 }
 
 // heapEvictor: lazy min-heap keyed by (tier, key) captured at push time.

@@ -3,20 +3,37 @@ package persist
 import (
 	"bytes"
 	"errors"
+	"os"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/engine"
 )
 
-// encodeSample produces a small valid snapshot for corruption tests.
+// samplePlan is the plan descriptor encodeSample attaches to one entry.
+func samplePlan() *engine.Descriptor {
+	return &engine.Descriptor{
+		Rel: "rel", Index: "k",
+		Preds:   []engine.Pred{{Col: "d", Op: engine.OpRange, Lo: -3, Hi: 90}},
+		GroupBy: []string{"g"},
+		Aggs:    []engine.AggSpec{{Kind: engine.AggCount, As: "n"}, {Kind: engine.AggSum, Col: "v", As: "s"}},
+	}
+}
+
+// encodeSample produces a small valid snapshot, one entry carrying a
+// plan descriptor, for corruption tests.
 func encodeSample(t testing.TB) []byte {
 	c, err := core.New(core.Config{Capacity: 1 << 20, K: 2, Policy: core.LNCRA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, id := range []string{"alpha", "beta", "gamma"} {
-		c.Reference(core.Request{QueryID: id, Time: float64(i + 1), Size: 100, Cost: 10,
-			Relations: []string{"rel"}, Payload: []byte("payload-" + id)})
+		req := core.Request{QueryID: id, Time: float64(i + 1), Size: 100, Cost: 10,
+			Relations: []string{"rel"}, Payload: []byte("payload-" + id)}
+		if id == "beta" {
+			req.Plan = samplePlan()
+		}
+		c.Reference(req)
 	}
 	var buf bytes.Buffer
 	if err := Write(&buf, SnapshotCache(c, nil)); err != nil {
@@ -98,11 +115,60 @@ func TestReadTrailingGarbageSection(t *testing.T) {
 	}
 }
 
+// TestReadPlanHostile feeds the version-2 plan decoder oversized counts
+// and plans cut at every byte: each must fail as corruption, never
+// allocate the claimed count or panic.
+func TestReadPlanHostile(t *testing.T) {
+	var w sectionWriter
+	w.dict = map[string]uint64{}
+	writePlan(&w, samplePlan())
+	plan := w.buf.Bytes()
+	read := func(data []byte) (*engine.Descriptor, error) {
+		var dict []string
+		return readPlan(&sectionReader{data: data, dict: &dict, version: version})
+	}
+	if p, err := read(plan); err != nil || p.Validate() != nil {
+		t.Fatalf("intact plan: %v", err)
+	}
+	for cut := 0; cut < len(plan); cut++ {
+		if _, err := read(plan[:cut]); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("plan cut at byte %d of %d: err = %v, want ErrCorrupt", cut, len(plan), err)
+		}
+	}
+
+	// Oversized counts, one per counted field: the fields before it are
+	// valid, then the count claims far more items than any plan holds.
+	huge := func(prefix func(w *sectionWriter)) []byte {
+		var w sectionWriter
+		w.dict = map[string]uint64{}
+		w.str("rel")
+		w.str("")
+		prefix(&w)
+		w.uvarint(1 << 40)
+		return w.buf.Bytes()
+	}
+	cases := map[string][]byte{
+		"predicates": huge(func(*sectionWriter) {}),
+		"columns":    huge(func(w *sectionWriter) { w.uvarint(0) }),
+		"group-by":   huge(func(w *sectionWriter) { w.uvarint(0); w.uvarint(0) }),
+		"aggregates": huge(func(w *sectionWriter) { w.uvarint(0); w.uvarint(0); w.uvarint(0) }),
+	}
+	for name, data := range cases {
+		if _, err := read(data); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("oversized %s count: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+}
+
 // FuzzRead feeds arbitrary bytes through the decoder: it must never
 // panic, and every failure must map to the package's error taxonomy.
 func FuzzRead(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("WMSNAP1"))
+	f.Add([]byte("WMSNAP2"))
+	if v1, err := os.ReadFile(v1Fixture); err == nil {
+		f.Add(v1)
+	}
 	raw := encodeSample(f)
 	f.Add(raw)
 	f.Add(raw[:len(raw)/2])

@@ -10,7 +10,7 @@
 // # File format
 //
 //	magic    [6]byte  "WMSNAP"
-//	version  byte     '1'
+//	version  byte     '2' (this writer) or '1' (still read)
 //	sections          one or more, each:
 //	  kind     byte     (meta / cache / admission / end)
 //	  length   uvarint  payload byte count
@@ -25,6 +25,12 @@
 // integers are varints, floats are IEEE-754 bit patterns in uvarints, and
 // strings are length-prefixed bytes with dictionary interning (relation
 // names and query templates repeat heavily across entries).
+//
+// Versions 1 and 2 differ only in how an entry's plan descriptor is
+// stored: version 1 wrote it as a JSON blob, version 2 writes its fields
+// with the section's own varints and interned strings, in the layout of
+// the trace codec's version 2. Read accepts both, so snapshots written
+// before version 2 still restore.
 //
 // # What is and is not captured
 //
@@ -54,8 +60,11 @@ import (
 )
 
 const (
-	magic   = "WMSNAP"
-	version = '1'
+	magic = "WMSNAP"
+	// versionJSONPlans is the original format, with JSON plan blobs.
+	versionJSONPlans = '1'
+	// version is the format this package writes: binary plans.
+	version = '2'
 )
 
 // Section kinds.
@@ -272,40 +281,62 @@ func Write(w io.Writer, snap *Snapshot) error {
 }
 
 // sectionReader decodes one section's payload, sharing the stream-wide
-// string dictionary.
+// string dictionary. It reads straight from the payload slice: decoding
+// a string costs one allocation, the string itself.
 type sectionReader struct {
-	buf  *bytes.Reader
-	dict *[]string
+	data    []byte // unread payload
+	dict    *[]string
+	version byte // the stream's format version
+}
+
+// take consumes the next n payload bytes.
+func (r *sectionReader) take(n uint64) ([]byte, error) {
+	if n > uint64(len(r.data)) {
+		return nil, fmt.Errorf("%w: %d-byte field exceeds the %d bytes left in the section", ErrCorrupt, n, len(r.data))
+	}
+	b := r.data[:n:n]
+	r.data = r.data[n:]
+	return b, nil
+}
+
+func (r *sectionReader) byte() (byte, error) {
+	b, err := r.take(1)
+	if err != nil {
+		return 0, err
+	}
+	return b[0], nil
 }
 
 func (r *sectionReader) uvarint() (uint64, error) {
-	v, err := binary.ReadUvarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	v, n := binary.Uvarint(r.data)
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad uvarint", ErrCorrupt)
 	}
+	r.data = r.data[n:]
 	return v, nil
 }
 
 func (r *sectionReader) varint() (int64, error) {
-	v, err := binary.ReadVarint(r.buf)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	v, n := binary.Varint(r.data)
+	if n <= 0 {
+		return 0, fmt.Errorf("%w: bad varint", ErrCorrupt)
 	}
+	r.data = r.data[n:]
 	return v, nil
 }
 
 func (r *sectionReader) float() (float64, error) {
-	var tmp [8]byte
-	if _, err := io.ReadFull(r.buf, tmp[:]); err != nil {
-		return 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	b, err := r.take(8)
+	if err != nil {
+		return 0, err
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(tmp[:])), nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
 }
 
 func (r *sectionReader) bool() (bool, error) {
-	b, err := r.buf.ReadByte()
+	b, err := r.byte()
 	if err != nil {
-		return false, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return false, err
 	}
 	switch b {
 	case 0:
@@ -333,18 +364,17 @@ func (r *sectionReader) str() (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if n > uint64(r.buf.Len()) {
-		return "", fmt.Errorf("%w: string length %d exceeds section", ErrCorrupt, n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.buf, b); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrCorrupt, err)
+	b, err := r.take(n)
+	if err != nil {
+		return "", err
 	}
 	s := string(b)
 	*r.dict = append(*r.dict, s)
 	return s, nil
 }
 
+// blob reads a length-prefixed byte string. It copies: payload bytes
+// outlive the section buffer, which must not stay pinned behind them.
 func (r *sectionReader) blob() ([]byte, error) {
 	n, err := r.uvarint()
 	if err != nil {
@@ -353,14 +383,33 @@ func (r *sectionReader) blob() ([]byte, error) {
 	if n == 0 {
 		return nil, nil
 	}
-	if n > uint64(r.buf.Len()) {
-		return nil, fmt.Errorf("%w: blob length %d exceeds section", ErrCorrupt, n)
+	b, err := r.take(n)
+	if err != nil {
+		return nil, err
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r.buf, b); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	return append([]byte(nil), b...), nil
+}
+
+// strs reads a counted list of interned strings; what names the list in
+// errors.
+func (r *sectionReader) strs(what string) ([]string, error) {
+	n, err := r.uvarint()
+	if err != nil {
+		return nil, err
 	}
-	return b, nil
+	if n > 1<<16 {
+		return nil, fmt.Errorf("%w: unreasonable %s count %d", ErrCorrupt, what, n)
+	}
+	if n == 0 {
+		return nil, nil
+	}
+	out := make([]string, n)
+	for i := range out {
+		if out[i], err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
 }
 
 func readStats(r *sectionReader) (core.Stats, error) {
@@ -414,19 +463,8 @@ func readEntry(r *sectionReader) (core.EntryState, error) {
 		return es, err
 	}
 	es.Class = int(cls)
-	nrel, err := r.uvarint()
-	if err != nil {
+	if es.Relations, err = r.strs("relation"); err != nil {
 		return es, err
-	}
-	if nrel > 1<<16 {
-		return es, fmt.Errorf("%w: unreasonable relation count %d", ErrCorrupt, nrel)
-	}
-	for j := uint64(0); j < nrel; j++ {
-		rel, err := r.str()
-		if err != nil {
-			return es, err
-		}
-		es.Relations = append(es.Relations, rel)
 	}
 	nref, err := r.uvarint()
 	if err != nil {
@@ -445,9 +483,9 @@ func readEntry(r *sectionReader) (core.EntryState, error) {
 	if es.TotalRefs, err = r.varint(); err != nil {
 		return es, err
 	}
-	tag, err := r.buf.ReadByte()
+	tag, err := r.byte()
 	if err != nil {
-		return es, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return es, err
 	}
 	data, err := r.blob()
 	if err != nil {
@@ -461,13 +499,9 @@ func readEntry(r *sectionReader) (core.EntryState, error) {
 		return es, err
 	}
 	if hasPlan {
-		b, err := r.blob()
+		p, err := readPlan(r)
 		if err != nil {
-			return es, err
-		}
-		p := &engine.Descriptor{}
-		if err := json.Unmarshal(b, p); err != nil {
-			return es, fmt.Errorf("%w: plan of entry %q: %v", ErrCorrupt, es.ID, err)
+			return es, fmt.Errorf("plan of entry %q: %w", es.ID, err)
 		}
 		if err := p.Validate(); err != nil {
 			return es, fmt.Errorf("%w: plan of entry %q: %v", ErrCorrupt, es.ID, err)
@@ -475,6 +509,87 @@ func readEntry(r *sectionReader) (core.EntryState, error) {
 		es.Plan = p
 	}
 	return es, nil
+}
+
+// readPlan inverts writePlan. A version-1 stream carries the plan as a
+// JSON blob instead.
+func readPlan(r *sectionReader) (*engine.Descriptor, error) {
+	p := &engine.Descriptor{}
+	if r.version == versionJSONPlans {
+		b, err := r.blob()
+		if err != nil {
+			return nil, err
+		}
+		if err := json.Unmarshal(b, p); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		return p, nil
+	}
+	var err error
+	if p.Rel, err = r.str(); err != nil {
+		return nil, err
+	}
+	if p.Index, err = r.str(); err != nil {
+		return nil, err
+	}
+	npred, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if npred > 1<<16 {
+		return nil, fmt.Errorf("%w: unreasonable predicate count %d", ErrCorrupt, npred)
+	}
+	if npred > 0 {
+		p.Preds = make([]engine.Pred, npred)
+	}
+	for i := range p.Preds {
+		pr := &p.Preds[i]
+		if pr.Col, err = r.str(); err != nil {
+			return nil, err
+		}
+		op, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		pr.Op = engine.Op(op)
+		if pr.Lo, err = r.varint(); err != nil {
+			return nil, err
+		}
+		if pr.Hi, err = r.varint(); err != nil {
+			return nil, err
+		}
+	}
+	if p.Cols, err = r.strs("column"); err != nil {
+		return nil, err
+	}
+	if p.GroupBy, err = r.strs("group-by column"); err != nil {
+		return nil, err
+	}
+	nagg, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nagg > 1<<16 {
+		return nil, fmt.Errorf("%w: unreasonable aggregate count %d", ErrCorrupt, nagg)
+	}
+	if nagg > 0 {
+		p.Aggs = make([]engine.AggSpec, nagg)
+	}
+	for i := range p.Aggs {
+		sp := &p.Aggs[i]
+		kind, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		sp.Kind = engine.AggKind(kind)
+		if sp.Col, err = r.str(); err != nil {
+			return nil, err
+		}
+		if sp.As, err = r.str(); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
 }
 
 func readCacheState(r *sectionReader) (int, *core.CacheState, error) {
@@ -584,19 +699,8 @@ func readAdmission(r *sectionReader) (*admission.TunerState, error) {
 		if s.Time, err = r.float(); err != nil {
 			return nil, err
 		}
-		nrel, err := r.uvarint()
-		if err != nil {
+		if s.Relations, err = r.strs("relation"); err != nil {
 			return nil, err
-		}
-		if nrel > 1<<16 {
-			return nil, fmt.Errorf("%w: unreasonable relation count %d", ErrCorrupt, nrel)
-		}
-		for k := uint64(0); k < nrel; k++ {
-			rel, err := r.str()
-			if err != nil {
-				return nil, err
-			}
-			s.Relations = append(s.Relations, rel)
 		}
 		st.Samples = append(st.Samples, s)
 	}
@@ -615,8 +719,9 @@ func Read(r io.Reader) (*Snapshot, error) {
 	if string(head[:len(magic)]) != magic {
 		return nil, ErrBadMagic
 	}
-	if head[len(magic)] != version {
-		return nil, fmt.Errorf("%w: %q", ErrBadVersion, string(head[len(magic)]))
+	ver := head[len(magic)]
+	if ver != version && ver != versionJSONPlans {
+		return nil, fmt.Errorf("%w: %q", ErrBadVersion, string(ver))
 	}
 
 	snap := &Snapshot{}
@@ -650,7 +755,7 @@ func Read(r io.Reader) (*Snapshot, error) {
 		if got, want := crc32.ChecksumIEEE(payload), binary.LittleEndian.Uint32(crcb[:]); got != want {
 			return nil, fmt.Errorf("%w: section 0x%02x checksum mismatch (%08x != %08x)", ErrCorrupt, kind, got, want)
 		}
-		sr := &sectionReader{buf: bytes.NewReader(payload), dict: &dict}
+		sr := &sectionReader{data: payload, dict: &dict, version: ver}
 		switch kind {
 		case sectionEnd:
 			sawEnd = true
@@ -689,8 +794,8 @@ func Read(r io.Reader) (*Snapshot, error) {
 		default:
 			return nil, fmt.Errorf("%w: unknown section kind 0x%02x", ErrCorrupt, kind)
 		}
-		if sr.buf.Len() != 0 && kind != sectionEnd {
-			return nil, fmt.Errorf("%w: section 0x%02x has %d trailing bytes", ErrCorrupt, kind, sr.buf.Len())
+		if len(sr.data) != 0 && kind != sectionEnd {
+			return nil, fmt.Errorf("%w: section 0x%02x has %d trailing bytes", ErrCorrupt, kind, len(sr.data))
 		}
 	}
 	if !sawMeta {

@@ -8,7 +8,7 @@ package persist
 // materializing every shard first. Write itself is now a thin loop over
 // StreamWriter, so the two paths cannot drift.
 //
-// Byte compatibility hinges on two properties of the v1 format. First,
+// Byte compatibility hinges on two properties of the format. First,
 // a shard section's header (config echo, clock context, Stats) contains
 // no strings, so buffering it separately from the entry bytes does not
 // disturb the stream-wide interning dictionary. Second, the section
@@ -163,16 +163,42 @@ func (e *encoder) writeEntry(w *sectionWriter, es *core.EntryState) error {
 	case nil:
 		w.bool(false)
 	case *engine.Descriptor:
-		b, err := e.marshal(p)
-		if err != nil {
-			return fmt.Errorf("persist: entry %q: encoding plan: %w", es.ID, err)
-		}
 		w.bool(true)
-		w.blob(b)
+		writePlan(w, p)
 	default:
 		return fmt.Errorf("persist: entry %q has a plan of unserializable type %T", es.ID, es.Plan)
 	}
 	return nil
+}
+
+// writePlan encodes a plan descriptor's fields, every name interned, in
+// the field order of the trace codec's version 2 (trace.dictWriter.plan).
+// The two are kept apart for the reason sectionWriter gives: the trace
+// writer streams with a per-call error, this one buffers a section.
+func writePlan(w *sectionWriter, p *engine.Descriptor) {
+	w.str(p.Rel)
+	w.str(p.Index)
+	w.uvarint(uint64(len(p.Preds)))
+	for i := range p.Preds {
+		pr := &p.Preds[i]
+		w.str(pr.Col)
+		w.uvarint(uint64(pr.Op))
+		w.varint(pr.Lo)
+		w.varint(pr.Hi)
+	}
+	for _, cols := range [][]string{p.Cols, p.GroupBy} {
+		w.uvarint(uint64(len(cols)))
+		for _, c := range cols {
+			w.str(c)
+		}
+	}
+	w.uvarint(uint64(len(p.Aggs)))
+	for i := range p.Aggs {
+		sp := &p.Aggs[i]
+		w.uvarint(uint64(sp.Kind))
+		w.str(sp.Col)
+		w.str(sp.As)
+	}
 }
 
 // writeFrame emits one section — kind, payload length, payload parts,
